@@ -20,7 +20,7 @@ from repro.core.battery import Battery, battery_impact, drm_tax_percent
 from repro.core.energy import WeightedEnergyModel
 from repro.core.model import PerformanceModel
 from repro.usecases.catalog import music_player, ringtone
-from repro.usecases.workload import run_modeled
+from repro.usecases.workload import WorkloadScaler
 
 #: Rest-of-system playback power and rendering time per use case:
 #: ~3.5 minutes of music x 5 listens at ~100 mW; 25 rings of ~15 s at
@@ -45,7 +45,7 @@ def main():
              battery.capacity_joules))
 
     for use_case in (ringtone(), music_player()):
-        trace = run_modeled(use_case).trace
+        trace = WorkloadScaler(use_case).trace()
         watts, seconds = PLAYBACK[use_case.name]
         rows = []
         for profile in PAPER_PROFILES:

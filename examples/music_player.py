@@ -7,45 +7,37 @@ times — and prints where every millisecond goes, per phase and per
 algorithm, under each architecture variant.
 
 The DRM protocol runs functionally (real AES/SHA-1/RSA on real bytes) at
-a reduced content size, and the trace is exactly rescaled to the paper's
-3.5 MB — run with ``--functional-size N`` to change the calibration size.
+the 2048-octet calibration size, and the trace is exactly rescaled to the
+paper's 3.5 MB.
 
 Usage::
 
-    python examples/music_player.py [--functional-size OCTETS]
+    python examples/music_player.py
 """
-
-import argparse
 
 from repro.analysis.formatting import format_ms, format_table
 from repro.core.architecture import PAPER_PROFILES, SW_PROFILE
 from repro.core.model import PerformanceModel
 from repro.core.trace import Phase
 from repro.usecases.catalog import music_player
-from repro.usecases.workload import run_modeled
+from repro.usecases.workload import DEFAULT_CALIBRATION_OCTETS, WorkloadScaler
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--functional-size", type=int, default=2048,
-                        help="content size (octets) for the functional "
-                             "calibration pass")
-    args = parser.parse_args()
-
     use_case = music_player()
     print("Use case: %s — %.1f MB DCF, %d playbacks"
           % (use_case.name, use_case.content_octets / 2 ** 20,
              use_case.accesses))
 
-    run = run_modeled(use_case, calibration_octets=args.functional_size)
+    trace = WorkloadScaler(use_case).trace()
     print("Protocol executed functionally at %d octets; trace rescaled "
-          "to %d octets.\n" % (args.functional_size,
+          "to %d octets.\n" % (DEFAULT_CALIBRATION_OCTETS,
                                use_case.content_octets))
 
     model = PerformanceModel()
 
     # Per-phase breakdown under the pure-software architecture.
-    breakdown = model.evaluate(run.trace, SW_PROFILE)
+    breakdown = model.evaluate(trace, SW_PROFILE)
     rows = [
         (str(phase), format_ms(ms))
         for phase, ms in sorted(breakdown.ms_by_phase().items(),
@@ -73,7 +65,7 @@ def main():
     # The Figure 6 comparison.
     rows = []
     for profile in PAPER_PROFILES:
-        b = model.evaluate(run.trace, profile)
+        b = model.evaluate(trace, profile)
         rows.append((profile.name, format_ms(b.total_ms),
                      "%.1fx" % (breakdown.total_ms / b.total_ms)))
     print(format_table(("architecture", "time [ms]", "speedup vs SW"),

@@ -22,14 +22,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.architecture import (HW_PROFILE, PAPER_PROFILES, SW_HW_PROFILE,
                                  SW_PROFILE, custom_profile)
-from ..core.costs import CostOptions
 from ..core.energy import ProportionalEnergyModel, WeightedEnergyModel
 from ..core.model import PerformanceModel
 from ..core.trace import Algorithm
-from ..usecases.catalog import music_player, ringtone
+from ..usecases.catalog import ringtone
 from ..usecases.scenario import KIB, UseCase
-from ..usecases.workload import WorkloadScaler, run_modeled
-from .common import DEFAULT_SEED
+from ..usecases.workload import WorkloadScaler
+from .common import DEFAULT_SEED, music_trace, paper_scaler, ringtone_trace
 from .formatting import format_table, format_ms
 
 #: AES + SHA-1 macros only (the SW/HW variant's hardware set).
@@ -45,6 +44,10 @@ _PKI_HW = {
     Algorithm.RSA_PUBLIC: True,
     Algorithm.RSA_PRIVATE: True,
 }
+
+#: The paper's use cases, by :func:`~repro.analysis.common.paper_scaler`
+#: name, in table row order.
+_PAPER_USE_CASES = ("ringtone", "music")
 
 
 @dataclass
@@ -102,8 +105,8 @@ def playback_sensitivity(accesses: Sequence[int] = (1, 5, 10, 25, 50, 100),
                          seed: str = DEFAULT_SEED) -> SweepResult:
     """Sweep access count for both paper use cases (SW architecture)."""
     model = PerformanceModel()
-    music_scaler = WorkloadScaler(music_player(), seed=seed)
-    ring_scaler = WorkloadScaler(ringtone(), seed=seed)
+    music_scaler = paper_scaler("music", seed)
+    ring_scaler = paper_scaler("ringtone", seed)
     rows = []
     for n in accesses:
         music_ms = model.evaluate(music_scaler.trace(accesses=n),
@@ -122,16 +125,15 @@ def kdev_ablation(seed: str = DEFAULT_SEED) -> SweepResult:
     """The K_DEV re-wrap optimization vs per-access PKI unwrap."""
     model = PerformanceModel()
     rows = []
-    for use_case in (ringtone(), music_player()):
-        with_kdev = run_modeled(use_case, seed=seed,
-                                kdev_optimization=True).trace
-        without = run_modeled(use_case, seed=seed,
-                              kdev_optimization=False).trace
+    for name in _PAPER_USE_CASES:
+        scaler = paper_scaler(name, seed)
+        with_kdev = scaler.trace()
+        without = paper_scaler(name, seed, kdev_optimization=False).trace()
         for profile in (SW_PROFILE, HW_PROFILE):
             ms_with = model.evaluate(with_kdev, profile).total_ms
             ms_without = model.evaluate(without, profile).total_ms
             rows.append((
-                use_case.name, profile.name, format_ms(ms_with),
+                scaler.use_case.name, profile.name, format_ms(ms_with),
                 format_ms(ms_without),
                 "%.2fx" % (ms_without / ms_with),
             ))
@@ -146,13 +148,13 @@ def kdev_ablation(seed: str = DEFAULT_SEED) -> SweepResult:
 def domain_overhead(seed: str = DEFAULT_SEED) -> SweepResult:
     """Domain RO versus Device RO for the Ringtone workload."""
     model = PerformanceModel()
-    device_trace = run_modeled(ringtone(), seed=seed).trace
+    device_trace = ringtone_trace(seed)
     domain_case = UseCase(
         name="Ringtone", content_octets=ringtone().content_octets,
         accesses=ringtone().accesses, content_type="audio/midi",
         domain=True,
     )
-    domain_trace = run_modeled(domain_case, seed=seed).trace
+    domain_trace = WorkloadScaler(domain_case, seed=seed).trace()
     rows = []
     for profile in PAPER_PROFILES:
         device_ms = model.evaluate(device_trace, profile).total_ms
@@ -179,12 +181,13 @@ def energy_comparison(seed: str = DEFAULT_SEED) -> SweepResult:
     proportional = ProportionalEnergyModel()
     weighted = WeightedEnergyModel()
     rows = []
-    for use_case in (ringtone(), music_player()):
-        trace = run_modeled(use_case, seed=seed).trace
+    for name in _PAPER_USE_CASES:
+        scaler = paper_scaler(name, seed)
+        trace = scaler.trace()
         for profile in PAPER_PROFILES:
             breakdown = model.evaluate(trace, profile)
             rows.append((
-                use_case.name, profile.name,
+                scaler.use_case.name, profile.name,
                 format_ms(breakdown.total_ms),
                 "%.3f" % (proportional.joules(breakdown) * 1000.0),
                 "%.3f" % (weighted.joules(breakdown) * 1000.0),
@@ -201,16 +204,15 @@ def mgf1_sensitivity(seed: str = DEFAULT_SEED) -> SweepResult:
     """Effect of counting the full EMSA-PSS hashing (MGF1 + H)."""
     model = PerformanceModel()
     rows = []
-    for use_case in (ringtone(), music_player()):
-        approx = run_modeled(use_case, seed=seed,
-                             options=CostOptions(count_mgf1=False)).trace
-        full = run_modeled(use_case, seed=seed,
-                           options=CostOptions(count_mgf1=True)).trace
+    for name in _PAPER_USE_CASES:
+        scaler = paper_scaler(name, seed)
+        approx = scaler.trace()
+        full = paper_scaler(name, seed, count_mgf1=True).trace()
         for profile in (SW_PROFILE, HW_PROFILE):
             ms_approx = model.evaluate(approx, profile).total_ms
             ms_full = model.evaluate(full, profile).total_ms
             rows.append((
-                use_case.name, profile.name, format_ms(ms_approx),
+                scaler.use_case.name, profile.name, format_ms(ms_approx),
                 format_ms(ms_full),
                 "%+.4f%%" % (100.0 * (ms_full - ms_approx)
                              / ms_approx),
@@ -233,7 +235,7 @@ def energy_gap_ratios(seed: str = DEFAULT_SEED) -> Dict[str, float]:
     """
     model = PerformanceModel()
     weighted = WeightedEnergyModel()
-    trace = run_modeled(music_player(), seed=seed).trace
+    trace = music_trace(seed)
     sw = model.evaluate(trace, SW_PROFILE)
     hw = model.evaluate(trace, HW_PROFILE)
     return {

@@ -69,7 +69,7 @@ from .usecases.catalog import music_player, ringtone
 from .usecases.scenario import UseCase
 from .usecases.tracing import (PROFILE_SCENARIOS, SCENARIOS,
                                run_profile_scenario, run_scenario)
-from .usecases.workload import run_modeled
+from .usecases.workload import WorkloadScaler
 
 _ARTIFACTS = {
     "table1": table1.generate,
@@ -218,12 +218,12 @@ def _build_all(args: argparse.Namespace) -> CommandOutput:
 
 def _build_run(args: argparse.Namespace) -> CommandOutput:
     use_case = _resolve_use_case(args)
-    run = run_modeled(use_case, seed=args.seed)
+    trace = WorkloadScaler(use_case, seed=args.seed).trace()
     model = PerformanceModel()
     rows = []
     breakdowns = {}
     for profile in PAPER_PROFILES:
-        breakdown = model.evaluate(run.trace, profile)
+        breakdown = model.evaluate(trace, profile)
         breakdowns[profile.name] = breakdown
         rows.append((profile.name, format_ms(breakdown.total_ms)))
     lines = [format_table(
@@ -232,7 +232,7 @@ def _build_run(args: argparse.Namespace) -> CommandOutput:
               % (use_case.name, use_case.content_octets,
                  use_case.accesses))]
     if args.export_trace:
-        dump_trace(run.trace, args.export_trace)
+        dump_trace(trace, args.export_trace)
         lines.append("trace written to %s" % args.export_trace)
     if args.export_breakdown:
         dump_breakdown(breakdowns[args.arch], args.export_breakdown)
@@ -242,7 +242,7 @@ def _build_run(args: argparse.Namespace) -> CommandOutput:
         # Replay the modeled trace onto the cycle timeline: each record
         # becomes one operation span priced under --arch.
         tracer = Tracer(profile=_PROFILES[args.arch], actor="terminal")
-        for record in run.trace:
+        for record in trace:
             tracer.on_record(record)
         write_chrome(tracer, args.trace)
         lines.append("cycle trace (%d spans) written to %s"
@@ -260,11 +260,11 @@ def _build_run(args: argparse.Namespace) -> CommandOutput:
 
 def _build_pareto(args: argparse.Namespace) -> CommandOutput:
     use_case = _resolve_use_case(args)
-    run = run_modeled(use_case, seed=args.seed)
+    trace = WorkloadScaler(use_case, seed=args.seed).trace()
     costs = MacroCosts(aes_kgates=args.aes_kgates,
                        sha1_kgates=args.sha1_kgates,
                        rsa_kgates=args.rsa_kgates)
-    points = enumerate_design_points(run.trace, costs=costs)
+    points = enumerate_design_points(trace, costs=costs)
     frontier = pareto_frontier(points, objective=args.objective)
     rows = [
         (point.name, "%.0f" % point.kgates, format_ms(point.time_ms),
@@ -289,13 +289,13 @@ def _build_pareto(args: argparse.Namespace) -> CommandOutput:
 
 def _build_battery(args: argparse.Namespace) -> CommandOutput:
     use_case = _resolve_use_case(args)
-    run = run_modeled(use_case, seed=args.seed)
+    trace = WorkloadScaler(use_case, seed=args.seed).trace()
     model = PerformanceModel()
     battery = Battery(capacity_mah=args.capacity_mah)
     rows = []
     impacts = {}
     for profile in PAPER_PROFILES:
-        impact = battery_impact(model.evaluate(run.trace, profile),
+        impact = battery_impact(model.evaluate(trace, profile),
                                 battery=battery)
         impacts[profile.name] = impact
         rows.append((
@@ -321,12 +321,12 @@ def _build_battery(args: argparse.Namespace) -> CommandOutput:
 
 def _build_concurrency(args: argparse.Namespace) -> CommandOutput:
     use_case = _resolve_use_case(args)
-    run = run_modeled(use_case, seed=args.seed)
+    trace = WorkloadScaler(use_case, seed=args.seed).trace()
     model = PerformanceModel()
     rows = []
     outcomes = {}
     for profile in PAPER_PROFILES:
-        result = analyze_concurrency(model.evaluate(run.trace, profile),
+        result = analyze_concurrency(model.evaluate(trace, profile),
                                      overlap=args.overlap)
         outcomes[profile.name] = result
         rows.append((

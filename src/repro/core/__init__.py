@@ -27,7 +27,6 @@ from .serialization import (breakdown_to_dict, dump_breakdown,
                             dump_trace, load_trace, trace_from_dict,
                             trace_to_dict)
 from .stats import (StatsSummary, StreamingStats, histogram, merge_all)
-from .sweep import (SweepPoint, WorkloadSweep, points_to_csv, write_csv)
 from .costs import (CostOptions, CostTable, HARDWARE_COSTS, Implementation,
                     LinearCost, PAPER_TABLE1, SOFTWARE_COSTS)
 from .energy import (DEFAULT_CPU_POWER_WATTS, DEFAULT_MACRO_POWER_WATTS,
@@ -48,7 +47,6 @@ __all__ = [
     "profile_for_macros", "breakdown_to_dict", "dump_breakdown",
     "dump_trace", "load_trace", "trace_from_dict", "trace_to_dict",
     "StatsSummary", "StreamingStats", "histogram", "merge_all",
-    "SweepPoint", "WorkloadSweep", "points_to_csv", "write_csv",
     "ArchitectureProfile", "DEFAULT_CLOCK_HZ", "HW_PROFILE",
     "PAPER_PROFILES", "SW_HW_PROFILE", "SW_PROFILE", "custom_profile",
     "CostOptions", "CostTable", "HARDWARE_COSTS", "Implementation",

@@ -20,8 +20,8 @@ from .fleet import (DEFAULT_FAMILIES, CostTemplates, DeviceDraw,
                     run_fleet)
 from .runner import ScenarioRun, run_functional, synthetic_content
 from .scenario import KIB, MIB, UseCase
-from .workload import (DEFAULT_CALIBRATION_OCTETS, dcf_octets_for_content,
-                       padded_payload_octets, paper_trace, run_modeled,
+from .workload import (DEFAULT_CALIBRATION_OCTETS, WorkloadScaler,
+                       dcf_octets_for_content, padded_payload_octets,
                        scale_trace)
 from .world import DRMWorld, RSA_BITS
 
@@ -30,8 +30,8 @@ __all__ = [
     "RINGTONE_CONTENT_OCTETS", "music_player", "paper_use_cases",
     "ringtone", "ScenarioRun", "run_functional", "synthetic_content",
     "KIB", "MIB", "UseCase", "DEFAULT_CALIBRATION_OCTETS",
-    "dcf_octets_for_content", "padded_payload_octets", "paper_trace",
-    "run_modeled", "scale_trace", "DRMWorld", "RSA_BITS",
+    "WorkloadScaler", "dcf_octets_for_content", "padded_payload_octets",
+    "scale_trace", "DRMWorld", "RSA_BITS",
     "DEFAULT_FAMILIES", "CostTemplates", "DeviceDraw",
     "FleetAccumulator", "FleetConfig", "FleetResult", "ScenarioFamily",
     "build_cost_templates", "draw_device", "run_fleet",

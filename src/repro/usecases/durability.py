@@ -74,7 +74,6 @@ class DurabilityMeasurement:
 
     seed: str
     rsa_bits: int
-    calibration_octets: int
     templates: DurabilityTemplates
     baseline_registration_cycles: Dict[str, int]
     baseline_installation_cycles: Dict[str, int]
@@ -82,7 +81,7 @@ class DurabilityMeasurement:
     recovery_transactions_applied: int
 
 
-def _run_consumption_process(world: DRMWorld, calibration_octets: int):
+def _run_consumption_process(world: DRMWorld):
     """Register, acquire, install, consume — the measured sequence.
 
     Returns per-step journal growth as ((records, octets), ...) for
@@ -90,7 +89,7 @@ def _run_consumption_process(world: DRMWorld, calibration_octets: int):
     storage (which has no journal).
     """
     cid = make_content_id("durability-probe")
-    clear = synthetic_content(calibration_octets)
+    clear = synthetic_content(DEFAULT_CALIBRATION_OCTETS)
     dcf = world.ci.publish(
         content_id=cid, content_type="audio/midi", clear_content=clear,
         rights_issuer_url="http://ri.example/shop",
@@ -129,39 +128,32 @@ def _phase_cycles(trace, phase: Phase,
             for profile in PAPER_PROFILES}
 
 
-def measure_durability(seed: str, rsa_bits: int = RSA_BITS,
-                       calibration_octets: int =
-                       DEFAULT_CALIBRATION_OCTETS
+def measure_durability(seed: str, rsa_bits: int = RSA_BITS
                        ) -> DurabilityMeasurement:
     """Price journal and recovery overhead from one calibration seed."""
-    return _cached_measurement(seed, rsa_bits, calibration_octets)
+    return _cached_measurement(seed, rsa_bits)
 
 
-def build_durability_templates(seed: str, rsa_bits: int = RSA_BITS,
-                               calibration_octets: int =
-                               DEFAULT_CALIBRATION_OCTETS
+def build_durability_templates(seed: str, rsa_bits: int = RSA_BITS
                                ) -> DurabilityTemplates:
     """Just the fleet-facing templates of :func:`measure_durability`."""
-    return measure_durability(seed, rsa_bits,
-                              calibration_octets).templates
+    return measure_durability(seed, rsa_bits).templates
 
 
 @lru_cache(maxsize=8)
-def _cached_measurement(seed: str, rsa_bits: int,
-                        calibration_octets: int) -> DurabilityMeasurement:
+def _cached_measurement(seed: str, rsa_bits: int) -> DurabilityMeasurement:
     model = PerformanceModel()
 
     # Identical protocol sequence, volatile vs. journaled: same seed,
     # same keys, same messages — the trace difference is the journal.
     volatile = DRMWorld.create(seed=seed + "/durability", metered=True,
                                rsa_bits=rsa_bits, durable=False)
-    _run_consumption_process(volatile, calibration_octets)
+    _run_consumption_process(volatile)
     volatile_trace = volatile.agent_crypto.reset_trace()
 
     durable = DRMWorld.create(seed=seed + "/durability", metered=True,
                               rsa_bits=rsa_bits, durable=True)
-    registration, install, access = _run_consumption_process(
-        durable, calibration_octets)
+    registration, install, access = _run_consumption_process(durable)
     durable_trace = durable.agent_crypto.reset_trace()
 
     def overhead(phase: Phase, divisor: int = 1) -> Dict[str, int]:
@@ -197,9 +189,7 @@ def _cached_measurement(seed: str, rsa_bits: int,
         recovery_records=report.records_scanned,
     )
     return DurabilityMeasurement(
-        seed=seed, rsa_bits=rsa_bits,
-        calibration_octets=calibration_octets,
-        templates=templates,
+        seed=seed, rsa_bits=rsa_bits, templates=templates,
         baseline_registration_cycles=_phase_cycles(
             volatile_trace, Phase.REGISTRATION, model),
         baseline_installation_cycles=_phase_cycles(

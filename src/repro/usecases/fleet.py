@@ -36,6 +36,7 @@ no module-level mutable state, so fork- and spawn-started pools behave
 identically.
 """
 
+import dataclasses
 import multiprocessing
 import random
 from collections import Counter
@@ -53,10 +54,8 @@ from ..drm.rel import play_count
 from ..obs.metrics import MetricsRegistry, merge_registries
 from .catalog import ringtone
 from .durability import DurabilityTemplates, build_durability_templates
-from .runner import run_functional
 from .scenario import KIB, MIB
-from .workload import (DEFAULT_CALIBRATION_OCTETS, dcf_octets_for_content,
-                       padded_payload_octets, scale_trace)
+from .workload import WorkloadScaler
 from .world import RSA_BITS, DRMWorld
 
 #: Transmissions per 4-pass registration attempt (paper Figure 2).
@@ -127,7 +126,6 @@ class FleetConfig:
     max_attempts: int = 5
     shard_size: int = 25_000
     rsa_bits: int = RSA_BITS
-    calibration_octets: int = DEFAULT_CALIBRATION_OCTETS
     journaled: bool = False
     crash_rate: float = 0.0
     #: Fraction of devices behind a persistent active man-in-the-middle
@@ -201,49 +199,40 @@ class CostTemplates:
 def build_cost_templates(config: FleetConfig) -> CostTemplates:
     """Price the per-flow templates with one calibration run per seed.
 
-    A metered functional ringtone-class run at calibration scale yields
-    the phase traces; exact rescaling prices a single access at every
+    A :class:`~repro.usecases.workload.WorkloadScaler` over a one-access
+    ringtone yields the phase traces and prices a single access at every
     size bucket in the mix. A second, wire-logged world measures the
     octets each ROAP flow moves. Memoized on exactly the parameters the
     templates depend on, so population-size sweeps pay for the RSA key
     generation once.
     """
     return _cached_templates(config.seed, config.rsa_bits,
-                             config.calibration_octets,
                              config.size_buckets(), config.journaled)
 
 
 @lru_cache(maxsize=8)
-def _cached_templates(seed: str, rsa_bits: int, calibration_octets: int,
+def _cached_templates(seed: str, rsa_bits: int,
                       size_buckets: Tuple[int, ...],
                       journaled: bool = False) -> CostTemplates:
     world = DRMWorld.create(seed=seed + "/templates", metered=True,
                             rsa_bits=rsa_bits)
-    calibration = ringtone().scaled(calibration_octets, accesses=1)
-    run = run_functional(calibration, consume_times=1, world=world)
+    scaler = WorkloadScaler(dataclasses.replace(ringtone(), accesses=1),
+                            world=world)
 
     model = PerformanceModel()
-    phase_cycles: Dict[Phase, Dict[str, int]] = {}
-    for phase in (Phase.REGISTRATION, Phase.ACQUISITION,
-                  Phase.INSTALLATION):
-        sub = run.trace.filter(phase=phase)
-        phase_cycles[phase] = {
-            profile.name: model.evaluate(sub, profile).total_cycles
-            for profile in PAPER_PROFILES
-        }
 
-    access_cycles: Dict[int, Dict[str, int]] = {}
-    for size in size_buckets:
-        scaled = scale_trace(
-            run.trace,
-            target_dcf_octets=dcf_octets_for_content(run.dcf, size),
-            target_payload_octets=padded_payload_octets(size),
-            accesses=1,
-        ).filter(phase=Phase.CONSUMPTION)
-        access_cycles[size] = {
-            profile.name: model.evaluate(scaled, profile).total_cycles
-            for profile in PAPER_PROFILES
-        }
+    def cycles(trace, phase: Phase) -> Dict[str, int]:
+        sub = trace.filter(phase=phase)
+        return {profile.name: model.evaluate(sub, profile).total_cycles
+                for profile in PAPER_PROFILES}
+
+    template = scaler.trace()
+    phase_cycles = {phase: cycles(template, phase)
+                    for phase in (Phase.REGISTRATION, Phase.ACQUISITION,
+                                  Phase.INSTALLATION)}
+    access_cycles = {size: cycles(scaler.trace(content_octets=size),
+                                  Phase.CONSUMPTION)
+                     for size in size_buckets}
 
     wire_world = DRMWorld.create(seed=seed + "/wire", metered=False,
                                  rsa_bits=rsa_bits)
@@ -261,9 +250,7 @@ def _cached_templates(seed: str, rsa_bits: int, calibration_octets: int,
 
     durability = None
     if journaled:
-        durability = build_durability_templates(
-            seed, rsa_bits=rsa_bits,
-            calibration_octets=calibration_octets)
+        durability = build_durability_templates(seed, rsa_bits=rsa_bits)
 
     return CostTemplates(
         registration_cycles=phase_cycles[Phase.REGISTRATION],

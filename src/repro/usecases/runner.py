@@ -57,15 +57,9 @@ class ScenarioRun:
         """Canonical DCF size — what the per-access hash covers."""
         return self.sizes["dcf"]
 
-    @property
-    def encrypted_payload_octets(self) -> int:
-        """Padded AES-CBC payload size inside the DCF."""
-        return self.sizes["encrypted_payload"]
-
 
 def run_functional(use_case: UseCase, seed: str = "repro-world",
                    options: CostOptions = CostOptions(),
-                   sign_device_ros: bool = False,
                    verify_dcf_on_install: bool = False,
                    kdev_optimization: bool = True,
                    consume_times: Optional[int] = None,
@@ -79,7 +73,6 @@ def run_functional(use_case: UseCase, seed: str = "repro-world",
     if world is None:
         world = DRMWorld.create(
             seed=seed, metered=True, options=options,
-            sign_device_ros=sign_device_ros,
             verify_dcf_on_install=verify_dcf_on_install,
             kdev_optimization=kdev_optimization,
         )

@@ -22,7 +22,7 @@ from ..drm.session import RetryPolicy, RoapSession
 from ..obs.tracer import Tracer
 from .catalog import music_player, ringtone
 from .scenario import KIB, UseCase
-from .workload import run_modeled
+from .workload import WorkloadScaler
 from .world import DRMWorld, RSA_BITS
 
 #: Content the scenarios publish: ringtone-class, deterministic bytes.
@@ -119,7 +119,7 @@ SCENARIOS: Dict[str, Callable[[Tracer, str, int], DRMWorld]] = {
 
 
 #: Paper-scale modeled scenarios: the trace comes from the exact
-#: rescaling engine (:func:`~repro.usecases.workload.run_modeled`) and
+#: rescaling engine (:class:`~repro.usecases.workload.WorkloadScaler`) and
 #: is *replayed* through the tracer with one structural span per
 #: contiguous protocol-phase segment — full 3.5 MB Music Player
 #: profiles in milliseconds instead of a functional run's minutes,
@@ -152,9 +152,9 @@ def replay_modeled(name: str, tracer: Tracer,
         raise ValueError(
             "unknown modeled scenario %r (expected one of %s)"
             % (name, ", ".join(sorted(MODELED_SCENARIOS)))) from None
-    run = run_modeled(use_case, seed=seed)
+    trace = WorkloadScaler(use_case, seed=seed).trace()
     segments: List[Tuple[Phase, List]] = []
-    for record in run.trace:
+    for record in trace:
         if not segments or segments[-1][0] is not record.phase:
             segments.append((record.phase, []))
         segments[-1][1].append(record)
@@ -165,7 +165,7 @@ def replay_modeled(name: str, tracer: Tracer,
             with tracer.span(phase.value, track=phase.value):
                 for record in records:
                     tracer.on_record(record)
-    return run.trace
+    return trace
 
 
 def run_profile_scenario(name: str, tracer: Tracer,

@@ -8,8 +8,8 @@ two operations scale with content:
 * the per-access **DCF hash** (SHA-1 over the whole DCF), and
 * the per-access **content decryption** (AES-CBC over the payload).
 
-:func:`run_modeled` therefore executes the full protocol functionally at a
-small calibration size with a single consumption, then rewrites exactly
+:class:`WorkloadScaler` therefore executes the full protocol functionally at
+a small calibration size with a single consumption, then rewrites exactly
 those records to the target size and replicates the consumption phase per
 access. The rewrite uses the *real* serializer on a same-shape DCF, so the
 scaled trace is bit-identical to what a full functional run would record —
@@ -25,6 +25,7 @@ from ..core.trace import OperationTrace, Phase
 from ..drm.dcf import DCF
 from .runner import ScenarioRun, run_functional
 from .scenario import UseCase
+from .world import DRMWorld
 
 #: Content size used for the functional calibration pass.
 DEFAULT_CALIBRATION_OCTETS = 2048
@@ -63,7 +64,9 @@ def scale_trace(trace: OperationTrace, target_dcf_octets: int,
 
     Non-consumption records pass through (with DCF-hash blocks rewritten
     where installation verifies the DCF too); the consumption group is
-    rewritten to the target sizes and multiplied by ``accesses``.
+    rewritten to the target sizes and multiplied by ``accesses`` — and
+    dropped when there are none, as a run that never consumes records
+    nothing for it.
     """
     scaled = OperationTrace()
     consumption = []
@@ -78,103 +81,59 @@ def scale_trace(trace: OperationTrace, target_dcf_octets: int,
             consumption.append(record)
         else:
             scaled.append(record)
-    for record in consumption:
-        scaled.append(record.scaled(accesses))
+    if accesses:
+        for record in consumption:
+            scaled.append(record.scaled(accesses))
     return scaled
 
 
-def run_modeled(use_case: UseCase, seed: str = "repro-world",
-                options: CostOptions = CostOptions(),
-                sign_device_ros: bool = False,
-                verify_dcf_on_install: bool = False,
-                kdev_optimization: bool = True,
-                calibration_octets: int = DEFAULT_CALIBRATION_OCTETS
-                ) -> ScenarioRun:
-    """Produce a paper-scale :class:`ScenarioRun` via trace rescaling.
-
-    Functionally identical protocol execution at ``calibration_octets``
-    with one consumption, then an exact rescale to
-    ``use_case.content_octets`` and ``use_case.accesses``.
-    """
-    calibration = use_case.scaled(calibration_octets)
-    run = run_functional(
-        calibration, seed=seed, options=options,
-        sign_device_ros=sign_device_ros,
-        verify_dcf_on_install=verify_dcf_on_install,
-        kdev_optimization=kdev_optimization,
-        consume_times=1,
-    )
-    target_payload = padded_payload_octets(use_case.content_octets)
-    target_dcf = dcf_octets_for_content(run.dcf, use_case.content_octets)
-    trace = scale_trace(run.trace, target_dcf_octets=target_dcf,
-                        target_payload_octets=target_payload,
-                        accesses=use_case.accesses)
-    sizes = dict(run.sizes)
-    sizes["dcf"] = target_dcf
-    sizes["encrypted_payload"] = target_payload
-    return ScenarioRun(
-        use_case=use_case, world=run.world, trace=trace, dcf=run.dcf,
-        clear_content_octets=use_case.content_octets, sizes=sizes,
-    )
-
-
 class WorkloadScaler:
-    """Amortize one calibration run across a whole parameter sweep.
+    """One calibration run, rescaled to any (content size, accesses).
 
-    World construction (RSA key generation) costs seconds; trace rescaling
-    costs microseconds. Ablation sweeps therefore run the protocol once
-    and ask this scaler for as many (content size, accesses) points as
-    they need.
+    The only place a calibration runs: the protocol executes
+    functionally at :data:`DEFAULT_CALIBRATION_OCTETS` with a single
+    consumption, and every paper-scale trace is an exact rescale of
+    that run. World construction (RSA key generation) costs seconds;
+    rescaling costs microseconds, so sweeps ask one scaler for as many
+    points as they need. ``world`` runs the calibration in an existing
+    world instead of building one from ``seed`` and the flags.
     """
 
     def __init__(self, use_case: UseCase, seed: str = "repro-world",
                  options: CostOptions = CostOptions(),
-                 sign_device_ros: bool = False,
                  verify_dcf_on_install: bool = False,
                  kdev_optimization: bool = True,
-                 calibration_octets: int = DEFAULT_CALIBRATION_OCTETS
-                 ) -> None:
+                 world: Optional[DRMWorld] = None) -> None:
         self.use_case = use_case
-        calibration = use_case.scaled(calibration_octets)
-        self._run = run_functional(
-            calibration, seed=seed, options=options,
-            sign_device_ros=sign_device_ros,
-            verify_dcf_on_install=verify_dcf_on_install,
-            kdev_optimization=kdev_optimization,
-            consume_times=1,
+        self._calibration = run_functional(
+            use_case.scaled(DEFAULT_CALIBRATION_OCTETS), seed=seed,
+            options=options, verify_dcf_on_install=verify_dcf_on_install,
+            kdev_optimization=kdev_optimization, consume_times=1,
+            world=world,
         )
 
-    @property
-    def calibration_run(self) -> ScenarioRun:
-        """The underlying single-access functional run."""
-        return self._run
-
-    def trace(self, content_octets: Optional[int] = None,
-              accesses: Optional[int] = None) -> OperationTrace:
-        """A paper-scale trace for one sweep point.
+    def run(self, content_octets: Optional[int] = None,
+            accesses: Optional[int] = None) -> ScenarioRun:
+        """The :class:`ScenarioRun` of one sweep point.
 
         Defaults fall back to the template use case's parameters.
         """
         if content_octets is None:
             content_octets = self.use_case.content_octets
-        if accesses is None:
-            accesses = self.use_case.accesses
-        return scale_trace(
-            self._run.trace,
-            target_dcf_octets=dcf_octets_for_content(self._run.dcf,
-                                                     content_octets),
-            target_payload_octets=padded_payload_octets(content_octets),
-            accesses=accesses,
+        use_case = self.use_case.scaled(content_octets, accesses)
+        calibration = self._calibration
+        dcf_octets = dcf_octets_for_content(calibration.dcf, content_octets)
+        payload_octets = padded_payload_octets(content_octets)
+        return ScenarioRun(
+            use_case=use_case, world=calibration.world,
+            trace=scale_trace(calibration.trace, dcf_octets,
+                              payload_octets, use_case.accesses),
+            dcf=calibration.dcf, clear_content_octets=content_octets,
+            sizes=dict(calibration.sizes, dcf=dcf_octets,
+                       encrypted_payload=payload_octets),
         )
 
-
-def paper_trace(use_case: UseCase, seed: str = "repro-world",
-                options: CostOptions = CostOptions(),
-                calibration_octets: Optional[int] = None
-                ) -> OperationTrace:
-    """Convenience: just the paper-scale trace for ``use_case``."""
-    kwargs = {}
-    if calibration_octets is not None:
-        kwargs["calibration_octets"] = calibration_octets
-    return run_modeled(use_case, seed=seed, options=options,
-                       **kwargs).trace
+    def trace(self, content_octets: Optional[int] = None,
+              accesses: Optional[int] = None) -> OperationTrace:
+        """Just the paper-scale trace of one sweep point."""
+        return self.run(content_octets, accesses).trace

@@ -18,6 +18,8 @@ import difflib
 import os
 import pathlib
 
+import pytest
+
 from repro.analysis import report
 from repro.analysis.common import DEFAULT_SEED
 
@@ -52,8 +54,14 @@ def normalize(text):
     return "\n".join(stripped) + "\n"
 
 
-def test_report_matches_golden_snapshot():
-    generated = normalize(report.generate(seed=DEFAULT_SEED).markdown)
+@pytest.fixture(scope="module")
+def document():
+    """One report generation shared by every test in this module."""
+    return report.generate(seed=DEFAULT_SEED)
+
+
+def test_report_matches_golden_snapshot(document):
+    generated = normalize(document.markdown)
     if os.environ.get("UPDATE_GOLDEN"):
         GOLDEN_PATH.write_text(generated, encoding="utf-8")
     golden = normalize(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -67,8 +75,8 @@ def test_report_matches_golden_snapshot():
             "intentional, regenerate with UPDATE_GOLDEN=1.\n" + diff)
 
 
-def test_report_sections_in_order():
-    markdown = report.generate(seed=DEFAULT_SEED).markdown
+def test_report_sections_in_order(document):
+    markdown = document.markdown
     position = -1
     for heading in EXPECTED_SECTIONS:
         found = markdown.find(heading)
@@ -76,8 +84,7 @@ def test_report_sections_in_order():
         position = found
 
 
-def test_report_write_roundtrip(tmp_path):
-    document = report.generate(seed=DEFAULT_SEED)
+def test_report_write_roundtrip(document, tmp_path):
     path = tmp_path / "report.md"
     document.write(str(path))
     assert path.read_text(encoding="utf-8") == document.markdown

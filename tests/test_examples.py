@@ -35,7 +35,7 @@ def test_quickstart(capsys):
 
 
 def test_music_player(capsys):
-    run_example("music_player.py", ["--functional-size", "1024"])
+    run_example("music_player.py", [])
     out = capsys.readouterr().out
     assert "Architecture comparison" in out
     assert "registration" in out

@@ -15,7 +15,7 @@ from repro.usecases.runner import run_functional
 from repro.usecases.scenario import UseCase
 from repro.usecases.workload import (WorkloadScaler,
                                      dcf_octets_for_content,
-                                     padded_payload_octets, run_modeled)
+                                     padded_payload_octets)
 
 
 def test_padded_payload_octets():
@@ -34,13 +34,13 @@ def test_dcf_octets_exactness(ringtone_run_small):
 
 
 @pytest.mark.parametrize("octets,accesses", [
-    (100, 1), (1024, 3), (5000, 2), (16384, 5),
+    (100, 0), (100, 1), (1024, 3), (5000, 2), (16384, 5),
 ])
 def test_modeled_equals_functional(octets, accesses):
     use_case = UseCase(name="equiv", content_octets=octets,
                        accesses=accesses)
     functional = run_functional(use_case, seed="eq")
-    modeled = run_modeled(use_case, seed="eq", calibration_octets=512)
+    modeled = WorkloadScaler(use_case, seed="eq").run()
     assert functional.trace.canonical() == modeled.trace.canonical()
     assert functional.sizes["dcf"] == modeled.sizes["dcf"]
     assert functional.sizes["encrypted_payload"] \
@@ -54,8 +54,7 @@ def test_modeled_equals_functional_property(octets, accesses):
     use_case = UseCase(name="equiv", content_octets=octets,
                        accesses=accesses)
     functional = run_functional(use_case, seed="eq-prop")
-    modeled = run_modeled(use_case, seed="eq-prop",
-                          calibration_octets=256)
+    modeled = WorkloadScaler(use_case, seed="eq-prop").run()
     assert functional.trace.canonical() == modeled.trace.canonical()
 
 
@@ -64,9 +63,8 @@ def test_modeled_with_install_verification():
     use_case = UseCase(name="vdcf", content_octets=4096, accesses=2)
     functional = run_functional(use_case, seed="v",
                                 verify_dcf_on_install=True)
-    modeled = run_modeled(use_case, seed="v",
-                          verify_dcf_on_install=True,
-                          calibration_octets=512)
+    modeled = WorkloadScaler(use_case, seed="v",
+                             verify_dcf_on_install=True).run()
     assert functional.trace.canonical() == modeled.trace.canonical()
 
 
@@ -74,8 +72,8 @@ def test_modeled_no_kdev():
     use_case = UseCase(name="nokdev", content_octets=2048, accesses=3)
     functional = run_functional(use_case, seed="nk",
                                 kdev_optimization=False)
-    modeled = run_modeled(use_case, seed="nk", kdev_optimization=False,
-                          calibration_octets=512)
+    modeled = WorkloadScaler(use_case, seed="nk",
+                             kdev_optimization=False).run()
     assert functional.trace.canonical() == modeled.trace.canonical()
 
 
@@ -99,7 +97,7 @@ def test_scaler_defaults_to_template():
 
 
 def test_paper_scale_traces_have_expected_magnitudes():
-    music = run_modeled(music_player(), seed="mag").trace
+    music = WorkloadScaler(music_player(), seed="mag").trace()
     totals = music.totals_by_algorithm()
     # 5 playbacks x ~229k blocks of AES decryption.
     aes_blocks = totals[Algorithm.AES_DECRYPT][1]
