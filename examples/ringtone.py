@@ -38,8 +38,8 @@ def main():
     started = time.perf_counter()
     run = run_functional(use_case)
     host_seconds = time.perf_counter() - started
-    print("Functional run completed in %.1f s of host time "
-          "(pure-Python crypto).\n" % host_seconds)
+    print("Functional run completed in %.1f s of host time.\n"
+          % host_seconds)
 
     totals = run.trace.totals_by_algorithm()
     rows = [

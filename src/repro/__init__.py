@@ -1,10 +1,11 @@
 """repro — reproduction of "Performance Considerations for an Embedded
 Implementation of OMA DRM 2" (Thull & Sannino, DATE 2005).
 
-The package implements, from scratch:
+The package implements:
 
 * :mod:`repro.crypto` — the mandated cryptographic algorithms (AES,
-  SHA-1, HMAC-SHA1, AES Key Wrap, KDF2, RSA with PSS, the Figure 3 KEM),
+  SHA-1 and HMAC-SHA1 on the stdlib's ``hashlib``/``hmac``, AES Key
+  Wrap, KDF2, RSA with PSS, the Figure 3 KEM),
 * :mod:`repro.drm` — the OMA DRM 2 system model (CA/OCSP PKI, DCF,
   Rights Objects, REL, ROAP, DRM Agent, Rights Issuer, Content Issuer,
   domains),

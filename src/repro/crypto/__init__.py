@@ -1,11 +1,13 @@
-"""From-scratch cryptographic substrate for the OMA DRM 2 reproduction.
+"""Cryptographic substrate for the OMA DRM 2 reproduction.
 
 Everything OMA DRM 2 mandates (paper §2.4.5) is implemented here with no
-external dependencies:
+dependency outside the standard library. SHA-1 and HMAC-SHA1 wrap the
+native ``hashlib``/``hmac``; the rest is written from the standards:
 
-* :mod:`~repro.crypto.sha1` — SHA-1 hash (FIPS 180)
-* :mod:`~repro.crypto.hmac` — HMAC-SHA1 MAC (RFC 2104)
-* :mod:`~repro.crypto.aes` — AES block cipher (FIPS 197)
+* :mod:`~repro.crypto.sha1` — SHA-1 hash (FIPS 180), on ``hashlib``
+* :mod:`~repro.crypto.hmac` — HMAC-SHA1 MAC (RFC 2104), on ``hmac``
+* :mod:`~repro.crypto.aes` — AES block cipher (FIPS 197), per block and
+  block-parallel
 * :mod:`~repro.crypto.modes` — AES-CBC content encryption
 * :mod:`~repro.crypto.keywrap` — 128-bit AES key wrap (RFC 3394)
 * :mod:`~repro.crypto.kdf` — KDF2 key derivation

@@ -9,11 +9,14 @@ The S-box is derived from first principles (GF(2^8) inversion plus the
 affine transform) rather than pasted as a constant table, and the round
 function is realized with the classic 32-bit T-table formulation: each
 T-table entry combines SubBytes, ShiftRows and MixColumns for one byte
-position, so a round is 16 table lookups and a handful of XORs. This keeps
-a from-scratch implementation fast enough to run multi-kilobyte DCF
-payloads functionally. 192- and 256-bit keys are supported as well (the
-ROAP registration phase lets peers negotiate non-default algorithms), but
-all DRM defaults use 128-bit keys.
+position, so a round is 16 table lookups and a handful of XORs. That
+per-block path serves encryption (CBC encryption chains block by block)
+and key wrap. Decryption of many independent blocks — CBC decryption, the
+bulk of every playback — goes through :meth:`AES.decrypt_blocks`, which
+runs each round over a whole slice of blocks at once with native
+``bytes``/``int`` operations. 192- and 256-bit keys are supported as well
+(the ROAP registration phase lets peers negotiate non-default algorithms),
+but all DRM defaults use 128-bit keys.
 """
 
 import struct
@@ -110,6 +113,40 @@ _INV_MIX = tuple(
 )
 
 
+#: Blocks per call of the block-parallel :meth:`AES.decrypt_blocks`: the
+#: size its mask and round-key integers are built for, and so the bound
+#: on its working memory.
+PARALLEL_BLOCKS = 256
+
+_PARALLEL_OCTETS = PARALLEL_BLOCKS * BLOCK_SIZE
+
+#: ``bytes.translate`` tables: InvSubBytes, and InvSubBytes followed by
+#: the GF(2^8) multiplies by 14, 11, 13 and 9 of InvMixColumns.
+_INV_SBOX_TABLE = bytes(_INV_SBOX)
+_INV_MIX_TABLES = tuple(bytes(_gf_mul(s, factor) for s in _INV_SBOX)
+                        for factor in (14, 11, 13, 9))
+
+#: InvShiftRows as a gather, ``(i, j)``: octet ``i`` of every block comes
+#: from octet ``j``. Octet ``r + 4c`` is row ``r`` of column ``c``, and
+#: row ``r`` rotates right by ``r`` columns.
+_INV_SHIFT_PAIRS = tuple((r + 4 * c, r + 4 * ((c - r) % 4))
+                         for c in range(4) for r in range(4))
+
+#: Masks that rotate every 32-bit column of a slice left by one octet:
+#: ``((x << 8) & _ROTL8_KEEP) | ((x >> 24) & _ROTL8_WRAP)``.
+_ROTL8_KEEP = int.from_bytes(b"\xff\xff\xff\x00" * (_PARALLEL_OCTETS // 4),
+                             "big")
+_ROTL8_WRAP = int.from_bytes(b"\x00\x00\x00\xff" * (_PARALLEL_OCTETS // 4),
+                             "big")
+
+
+def _inv_shift_rows(state: int, out: bytearray) -> None:
+    """InvShiftRows of every block of ``state`` (an int), into ``out``."""
+    source = state.to_bytes(len(out), "big")
+    for i, j in _INV_SHIFT_PAIRS:
+        out[i::BLOCK_SIZE] = source[j::BLOCK_SIZE]
+
+
 def _inv_mix_word(word: int) -> int:
     """Apply InvMixColumns to one 32-bit column."""
     return (_INV_MIX[(word >> 24) & 0xFF]
@@ -141,6 +178,9 @@ class AES:
         self.rounds = _KEY_ROUNDS[len(key)]
         self._enc_keys = self._expand_key(key)
         self._dec_keys = self._derive_decrypt_keys(self._enc_keys)
+        #: Decryption round keys repeated over a full slice, as ints;
+        #: built by the first :meth:`decrypt_blocks` call.
+        self._wide_dec_keys = None
 
     def _expand_key(self, key: bytes) -> list:
         """Rijndael key expansion into 32-bit words, 4 per round key."""
@@ -248,3 +288,53 @@ class AES:
               | (_INV_SBOX[(s1 >> 8) & 0xFF] << 8)
               | _INV_SBOX[s0 & 0xFF]) ^ k[3]
         return struct.pack(">4L", b0, b1, b2, b3)
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt each 16-octet block of ``data`` on its own (ECB).
+
+        The blocks do not depend on each other, so every round runs over
+        all of them at once: ``bytes.translate`` does InvSubBytes and the
+        GF(2^8) multiplies, 16 strided slice copies do InvShiftRows, and
+        big-integer XORs and masked shifts do AddRoundKey and
+        InvMixColumns. Like :meth:`decrypt_block` it runs the equivalent
+        inverse cipher (FIPS-197 §5.3.5), and its output equals
+        :meth:`decrypt_block` over each block. ``data`` holds at most
+        :data:`PARALLEL_BLOCKS` blocks.
+        """
+        octets = len(data)
+        if octets % BLOCK_SIZE or octets > _PARALLEL_OCTETS:
+            raise InvalidBlockError(
+                "parallel AES input must be a block multiple of at most "
+                "%d octets, got %d" % (_PARALLEL_OCTETS, octets)
+            )
+        if self._wide_dec_keys is None:
+            self._wide_dec_keys = [
+                int.from_bytes(struct.pack(">4L", *k) * PARALLEL_BLOCKS,
+                               "big")
+                for k in self._dec_keys
+            ]
+        # Keys and masks repeat with the block period, so their leading
+        # ``octets`` (a right shift) fit a shorter input.
+        drop = 8 * (_PARALLEL_OCTETS - octets)
+        keys = [k >> drop for k in self._wide_dec_keys]
+        keep = _ROTL8_KEEP >> drop
+        wrap = _ROTL8_WRAP >> drop
+        mul14, mul11, mul13, mul9 = _INV_MIX_TABLES
+        from_bytes = int.from_bytes
+        state = from_bytes(data, "big") ^ keys[0]
+        shifted = bytearray(octets)
+        for r in range(1, self.rounds):
+            _inv_shift_rows(state, shifted)
+            # InvMixColumns as 14a ^ R(11a ^ R(13a ^ R(9a))), with R the
+            # one-octet left rotation of every column.
+            x = from_bytes(shifted.translate(mul9), "big")
+            x = (from_bytes(shifted.translate(mul13), "big")
+                 ^ ((x << 8) & keep) ^ ((x >> 24) & wrap))
+            x = (from_bytes(shifted.translate(mul11), "big")
+                 ^ ((x << 8) & keep) ^ ((x >> 24) & wrap))
+            state = (from_bytes(shifted.translate(mul14), "big")
+                     ^ ((x << 8) & keep) ^ ((x >> 24) & wrap) ^ keys[r])
+        _inv_shift_rows(state, shifted)
+        state = (from_bytes(shifted.translate(_INV_SBOX_TABLE), "big")
+                 ^ keys[self.rounds])
+        return state.to_bytes(octets, "big")

@@ -1,42 +1,40 @@
-"""HMAC-SHA1 (RFC 2104 / FIPS 198).
+"""HMAC-SHA1 (RFC 2104 / FIPS 198) on the standard library's ``hmac``.
 
 OMA DRM 2 uses HMAC-SHA1 as the MAC algorithm that protects Rights-Object
 integrity and authenticity (the ``<mac>`` element of a protected RO).
+:class:`HMACSHA1` wraps ``hmac.new(key, None, hashlib.sha1)``; keys
+longer than the 64-octet block are hashed first, as RFC 2104 §2 says.
 """
 
-from .encoding import constant_time_equal
-from .sha1 import BLOCK_SIZE, SHA1
+import hashlib
+import hmac
 
-_IPAD = 0x36
-_OPAD = 0x5C
+from .encoding import constant_time_equal
+from .sha1 import DIGEST_SIZE
 
 
 class HMACSHA1:
     """Streaming HMAC-SHA1 object with the ``hashlib``-style interface."""
 
-    digest_size = SHA1.digest_size
+    digest_size = DIGEST_SIZE
     name = "hmac-sha1"
 
     def __init__(self, key: bytes, data: bytes = b"") -> None:
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("HMAC key must be bytes")
-        key = bytes(key)
-        # Keys longer than the block size are hashed first (RFC 2104 §2).
-        if len(key) > BLOCK_SIZE:
-            key = SHA1(key).digest()
-        key = key.ljust(BLOCK_SIZE, b"\x00")
-        self._outer_key = bytes(b ^ _OPAD for b in key)
-        self._inner = SHA1(bytes(b ^ _IPAD for b in key))
+        self._mac = hmac.new(key, None, hashlib.sha1)
         if data:
             self.update(data)
 
     def update(self, data: bytes) -> None:
         """Absorb ``data`` into the MAC state."""
-        self._inner.update(data)
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError("HMACSHA1.update expects bytes-like input")
+        self._mac.update(data)
 
     def digest(self) -> bytes:
         """Return the 20-octet MAC of the data absorbed so far."""
-        return SHA1(self._outer_key + self._inner.digest()).digest()
+        return self._mac.digest()
 
     def hexdigest(self) -> str:
         """Return the MAC as a lowercase hex string."""
@@ -45,8 +43,7 @@ class HMACSHA1:
     def copy(self) -> "HMACSHA1":
         """Return an independent copy of the current MAC state."""
         clone = HMACSHA1.__new__(HMACSHA1)
-        clone._outer_key = self._outer_key
-        clone._inner = self._inner.copy()
+        clone._mac = self._mac.copy()
         return clone
 
 

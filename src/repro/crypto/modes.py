@@ -4,9 +4,14 @@ OMA DRM 2 mandates 128-bit AES in CBC mode for content encryption
 (``AES_128_CBC`` in the DCF's encryption-method box). We implement CBC with
 PKCS#7 padding plus a raw (unpadded) variant used by tests and by callers
 that manage padding themselves.
+
+Encryption chains block by block through :meth:`AES.encrypt_block`.
+Decryption has no chain to wait for (``P_i = D(C_i) xor C_{i-1}``), so it
+runs slice by slice through the block-parallel
+:meth:`AES.decrypt_blocks`.
 """
 
-from .aes import AES, BLOCK_SIZE
+from .aes import AES, BLOCK_SIZE, PARALLEL_BLOCKS
 from .encoding import xor_bytes
 from .errors import InvalidBlockError
 from .padding import pad, unpad
@@ -33,18 +38,24 @@ def cbc_encrypt_raw(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def cbc_decrypt_raw(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    """AES-CBC decrypt without padding; input must be block-aligned."""
+    """AES-CBC decrypt without padding; input must be block-aligned.
+
+    Works in slices of :data:`~repro.crypto.aes.PARALLEL_BLOCKS` blocks,
+    so the working memory does not grow with the content size.
+    """
     _check_iv(iv)
     if len(ciphertext) % BLOCK_SIZE != 0:
         raise InvalidBlockError("raw CBC input must be a block multiple")
     cipher = AES(key)
-    blocks = []
+    step = PARALLEL_BLOCKS * BLOCK_SIZE
+    slices = []
     previous = iv
-    for offset in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[offset:offset + BLOCK_SIZE]
-        blocks.append(xor_bytes(cipher.decrypt_block(block), previous))
-        previous = block
-    return b"".join(blocks)
+    for offset in range(0, len(ciphertext), step):
+        chunk = ciphertext[offset:offset + step]
+        chained = b"".join((previous, chunk[:-BLOCK_SIZE]))
+        slices.append(xor_bytes(cipher.decrypt_blocks(chunk), chained))
+        previous = chunk[-BLOCK_SIZE:]
+    return b"".join(slices)
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:

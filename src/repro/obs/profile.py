@@ -40,8 +40,10 @@ SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 #: Name given to the synthetic root node.
 ROOT_NAME = "(root)"
 
+_new_node = object.__new__
 
-@dataclass
+
+@dataclass(slots=True)
 class ProfileNode:
     """One node of the folded call tree."""
 
@@ -55,14 +57,6 @@ class ProfileNode:
         """Own cycles plus every descendant's, exactly."""
         return self.self_cycles + sum(
             child.cumulative_cycles for child in self.children.values())
-
-    def child(self, name: str) -> "ProfileNode":
-        """Fetch-or-create the child named ``name``."""
-        node = self.children.get(name)
-        if node is None:
-            node = ProfileNode(name=name)
-            self.children[name] = node
-        return node
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able nested representation (insertion-ordered)."""
@@ -99,19 +93,27 @@ class ProfileTree:
         """
         if architecture == "" and getattr(tracer, "profile", None):
             architecture = tracer.profile.name
-        root = ProfileNode(name=ROOT_NAME, calls=1)
-        nodes: Dict[int, ProfileNode] = {}
-        for span in sorted(tracer.spans, key=lambda s: s.index):
-            parent = root if span.parent is None \
-                else nodes[span.parent]
-            node = parent.child(span.name)
+        root = ProfileNode(ROOT_NAME, 1, 0, {})
+        # Structural span index -> its node; top-level spans have parent
+        # ``None``, the root. ``tracer.spans`` is in index order (each
+        # span is appended as it is stamped), so parents come first.
+        nodes: Dict[Optional[int], ProfileNode] = {None: root}
+        for span in tracer.spans:
+            children = nodes[span.parent].children
+            node = children.get(span.name)
+            if node is None:
+                # Filled in place: no ``__init__`` call per node.
+                node = children[span.name] = _new_node(ProfileNode)
+                node.name = span.name
+                node.calls = node.self_cycles = 0
+                node.children = {}
             node.calls += 1
             if span.category == OPERATION_CATEGORY:
-                node.self_cycles += span.args["cycles"]
-            if span.category == STRUCTURE_CATEGORY:
+                # An operation span covers exactly its priced cycles.
+                node.self_cycles += span.end - span.start
+            elif span.category == STRUCTURE_CATEGORY:
                 nodes[span.index] = node
-        return cls(root=root, architecture=architecture,
-                   scenario=scenario, seed=seed)
+        return cls(root, architecture, scenario, seed)
 
     @property
     def total_cycles(self) -> int:

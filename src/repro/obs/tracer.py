@@ -29,12 +29,11 @@ is a constant no-op, so un-instrumented runs (and all pre-existing
 artifacts) stay byte-identical.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.architecture import ArchitectureProfile, SW_PROFILE
-from ..core.costs import CostTable, PAPER_TABLE1
+from ..core.costs import CostTable, LinearCost, PAPER_TABLE1
 from ..core.trace import OperationRecord
 
 from .metrics import MetricsRegistry
@@ -53,7 +52,7 @@ EVENT_CATEGORY = "event"
 DEFAULT_TRACK = "main"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One closed interval on the virtual cycle timeline."""
 
@@ -81,7 +80,7 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One instantaneous mark on the virtual cycle timeline."""
 
@@ -93,7 +92,11 @@ class Event:
 
 
 class Tracer:
-    """Collects spans/events stamped with priced-cycle timestamps."""
+    """Collects spans/events stamped with priced-cycle timestamps.
+
+    ``profile`` and ``cost_table`` are fixed for the tracer's life: a
+    tracer prices one run under one architecture.
+    """
 
     enabled = True
 
@@ -106,13 +109,10 @@ class Tracer:
         self.now = 0
         self.spans: List[Span] = []
         self.events: List[Event] = []
-        self.metrics = MetricsRegistry()
         self._seq = 0
         self._open: List[Span] = []
-
-    def _next_index(self) -> int:
-        self._seq += 1
-        return self._seq
+        #: algorithm value -> (implementation, cost entry), on first use.
+        self._pricing: Dict[str, Tuple[str, LinearCost]] = {}
 
     def advance_to(self, now: int) -> None:
         """Move the virtual clock forward to an externally-owned time.
@@ -127,35 +127,24 @@ class Tracer:
             self.now = now
 
     # -- structural spans ------------------------------------------------
-    @contextmanager
     def span(self, name: str, track: str = DEFAULT_TRACK,
              category: str = STRUCTURE_CATEGORY,
-             **args: Any) -> Iterator[Span]:
+             **args: Any) -> "_SpanScope":
         """Open a span at the current virtual time; close it on exit.
 
-        The span itself consumes no cycles — its duration is the cycle
-        cost of the operations priced inside the ``with`` block.
+        Use as ``with tracer.span(...) as span:``. The span itself
+        consumes no cycles — its duration is the cycle cost of the
+        operations priced inside the ``with`` block.
         """
-        span = Span(name=name, track=track, category=category,
-                    start=self.now, args=dict(args),
-                    index=self._next_index(),
-                    parent=self._open[-1].index if self._open else None)
-        self.spans.append(span)
-        self._open.append(span)
-        try:
-            yield span
-        finally:
-            self._open.pop()
-            span.end = self.now
+        return _SpanScope((self, name, track, category, args))
 
     # -- events ----------------------------------------------------------
     def event(self, name: str, track: str = DEFAULT_TRACK,
               **args: Any) -> Event:
         """Record an instantaneous event at the current virtual time."""
-        event = Event(name=name, track=track, ts=self.now,
-                      args=dict(args), index=self._next_index())
+        self._seq += 1
+        event = Event(name, track, self.now, args, self._seq)
         self.events.append(event)
-        self.metrics.counter("events.%s" % name)
         return event
 
     # -- operation records (MeteredCrypto hook) --------------------------
@@ -163,36 +152,59 @@ class Tracer:
         """Price one trace record and advance the virtual clock.
 
         Called by :class:`~repro.core.meter.MeteredCrypto` for every
-        primitive batch. Pricing uses exactly the same
-        ``cost_table.cycles(record, implementation)`` call as
+        primitive batch. Pricing uses exactly the cost entry that
+        ``cost_table.cycles(record, implementation)`` uses in
         :class:`~repro.core.model.PerformanceModel`, so span totals and
         breakdown totals cannot disagree.
         """
-        implementation = self.profile.implementation(record.algorithm)
-        cycles = self.cost_table.cycles(record, implementation)
-        span = Span(
-            name=record.label, track=record.phase.value,
-            category=OPERATION_CATEGORY,
-            start=self.now, end=self.now + cycles,
-            index=self._next_index(),
-            parent=self._open[-1].index if self._open else None,
-            args={
-                "algorithm": record.algorithm.value,
-                "phase": record.phase.value,
-                "label": record.label,
-                "invocations": record.invocations,
-                "blocks": record.blocks,
-                "implementation": implementation,
-                "cycles": cycles,
-            },
-        )
+        # ``_value_`` is the enum member's value without the ``.value``
+        # descriptor call, and a str key hashes in C.
+        algorithm = record.algorithm._value_
+        pricing = self._pricing.get(algorithm)
+        if pricing is None:
+            implementation = self.profile.implementation(record.algorithm)
+            pricing = self._pricing[algorithm] = (
+                implementation,
+                self.cost_table.cost(record.algorithm, implementation))
+        implementation, cost = pricing
+        cycles = cost.cycles(record.invocations, record.blocks)
+        phase = record.phase._value_
+        start = self.now
+        self._seq += 1
+        span = Span(record.label, phase, OPERATION_CATEGORY, start,
+                    start + cycles, {
+                        "algorithm": algorithm,
+                        "phase": phase,
+                        "label": record.label,
+                        "invocations": record.invocations,
+                        "blocks": record.blocks,
+                        "implementation": implementation,
+                        "cycles": cycles,
+                    }, self._seq,
+                    self._open[-1].index if self._open else None)
         self.spans.append(span)
-        self.now += cycles
-        self.metrics.counter("ops.%s" % record.algorithm.value)
-        self.metrics.histogram("cycles.%s" % record.algorithm.value, cycles)
+        self.now = start + cycles
         return span
 
     # -- aggregate views -------------------------------------------------
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The run's counters and histograms, derived from its records.
+
+        ``events.<name>`` counts events, ``ops.<algorithm>`` counts
+        operation spans and ``cycles.<algorithm>`` is the histogram of
+        their cycles. Built on each read, so recording stays cheap and
+        the spans and events remain the only source of truth.
+        """
+        registry = MetricsRegistry()
+        for span in self.operation_spans():
+            algorithm = span.args["algorithm"]
+            registry.counter("ops.%s" % algorithm)
+            registry.histogram("cycles.%s" % algorithm, span.args["cycles"])
+        for event in self.events:
+            registry.counter("events.%s" % event.name)
+        return registry
+
     def operation_spans(self) -> List[Span]:
         """Spans emitted from operation records, in emission order."""
         return [span for span in self.spans
@@ -222,6 +234,32 @@ class Tracer:
             if track not in seen:
                 seen.append(track)
         return tuple(seen)
+
+
+class _SpanScope(tuple):
+    """The ``with`` scope of one structural span (:meth:`Tracer.span`).
+
+    A ``(tracer, name, track, category, args)`` tuple, so making one runs
+    no Python code. The span is stamped and pushed on entry, and the
+    innermost open span is popped and closed on exit, exception or not.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> Span:
+        tracer, name, track, category, args = self
+        stack = tracer._open
+        tracer._seq += 1
+        span = Span(name, track, category, tracer.now, None, args,
+                    tracer._seq, stack[-1].index if stack else None)
+        tracer.spans.append(span)
+        stack.append(span)
+        return span
+
+    def __exit__(self, *exc: Any) -> bool:
+        tracer = self[0]
+        tracer._open.pop().end = tracer.now
+        return False
 
 
 class _NullSpan:

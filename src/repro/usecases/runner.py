@@ -5,12 +5,12 @@ acquire, install, consume N times — through the real protocol stack with
 real cryptography, and returns the metered operation trace together with
 the artifacts whose sizes the cost model depends on.
 
-Pure-Python crypto makes paper-scale payloads (3.5 MB x 5 playbacks)
-impractical to execute functionally in a test loop, so
-:mod:`repro.usecases.workload` provides the complementary *modeled* path:
-a functional run at calibration scale whose trace is then exactly rescaled
-to paper scale. The two paths are property-tested to agree wherever both
-are feasible.
+A paper-scale Music Player (3.5 MB x 5 playbacks) takes seconds of host
+time to execute functionally, too slow to repeat for every figure, sweep
+and ablation, so :mod:`repro.usecases.workload` provides the
+complementary *modeled* path: a functional run at calibration scale whose
+trace is then exactly rescaled to paper scale. The two paths are tested
+to agree, at the paper's own sizes included.
 """
 
 from dataclasses import dataclass

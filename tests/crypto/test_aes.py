@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import AES, BLOCK_SIZE, PARALLEL_BLOCKS
 from repro.crypto.errors import InvalidBlockError, InvalidKeyError
 
 PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -66,6 +66,12 @@ def test_rejects_bad_block_sizes(bad_size):
         cipher.encrypt_block(b"\x00" * bad_size)
     with pytest.raises(InvalidBlockError):
         cipher.decrypt_block(b"\x00" * bad_size)
+
+
+@pytest.mark.parametrize("bad_size", [15, 17, 16 * PARALLEL_BLOCKS + 16])
+def test_decrypt_blocks_rejects_bad_lengths(bad_size):
+    with pytest.raises(InvalidBlockError):
+        AES(b"k" * 16).decrypt_blocks(b"\x00" * bad_size)
 
 
 def test_encryption_is_not_identity():

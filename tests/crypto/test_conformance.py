@@ -10,19 +10,28 @@ the substrate systematically rather than by spot checks:
   cipher, all three key sizes), NIST SP 800-38A (AES-128-CBC), RFC
   3394 section 4 (AES Key Wrap), FIPS 198 / RFC 2104 (HMAC-SHA1), and
   FIPS 180 (SHA-1 "abc" family).
-* **Third-party differential** — AES-CBC against the ``cryptography``
-  package when it happens to be installed (skipped otherwise; the
-  stdlib ships no AES oracle).
+* **Reference differential** — the block-parallel CBC decrypt against
+  a per-block :meth:`AES.decrypt_block` chain, across a slice boundary
+  and for all three key sizes.
+* **Third-party differential** — AES-CBC encrypt and decrypt against the
+  ``cryptography`` package when it happens to be installed (skipped
+  otherwise; the stdlib ships no AES oracle).
+
+SHA-1 and HMAC-SHA1 wrap ``hashlib``/``hmac``; the differential tests
+also pin the wrapper contract: bytes-like input, independent ``copy()``,
+``TypeError`` on text.
 """
 
 import hashlib
 import hmac as stdlib_hmac
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES
+from repro.crypto.aes import AES, BLOCK_SIZE, PARALLEL_BLOCKS
+from repro.crypto.errors import PaddingError
 from repro.crypto.hmac import HMACSHA1, hmac_sha1
 from repro.crypto.keywrap import unwrap, wrap
 from repro.crypto.modes import (cbc_decrypt, cbc_decrypt_raw,
@@ -45,14 +54,28 @@ def test_sha1_matches_hashlib_at_boundaries(length):
     assert sha1(message) == hashlib.sha1(message).digest()
 
 
+#: The bytes-like input types the wrappers accept.
+BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
 def test_sha1_streaming_matches_hashlib():
     message = b"embedded OMA DRM 2 " * 97
-    ours, theirs = SHA1(), hashlib.sha1()
-    for cut in (0, 1, 7, 64, 100, len(message)):
-        ours.update(message[:cut])
-        theirs.update(message[:cut])
-    assert ours.digest() == theirs.digest()
-    assert ours.hexdigest() == theirs.hexdigest()
+    for as_input in BYTES_LIKE:
+        ours, theirs = SHA1(), hashlib.sha1()
+        for cut in (0, 1, 7, 64, 100, len(message)):
+            ours.update(as_input(message[:cut]))
+            theirs.update(message[:cut])
+        # A copy continues on its own: neither sees the other's input.
+        our_copy, their_copy = ours.copy(), theirs.copy()
+        ours.update(as_input(b"original"))
+        theirs.update(b"original")
+        our_copy.update(as_input(b"copy"))
+        their_copy.update(b"copy")
+        assert ours.digest() == theirs.digest()
+        assert ours.hexdigest() == theirs.hexdigest()
+        assert our_copy.digest() == their_copy.digest()
+    with pytest.raises(TypeError):
+        SHA1().update("text is not bytes")
 
 
 @given(data=st.binary(max_size=512))
@@ -109,13 +132,24 @@ def test_hmac_key_length_boundaries(key_length):
 
 
 def test_hmac_streaming_matches_stdlib():
-    key = b"\x0b" * 20
-    ours = HMACSHA1(key)
-    theirs = stdlib_hmac.new(key, None, hashlib.sha1)
-    for chunk in (b"Hi", b" ", b"There", b"!" * 200):
-        ours.update(chunk)
-        theirs.update(chunk)
-    assert ours.digest() == theirs.digest()
+    # Keys below, at and above the 64-octet block (hashed first).
+    for key_length, as_input in itertools.product((20, 64, 100),
+                                                  BYTES_LIKE):
+        key = b"\x0b" * key_length
+        ours = HMACSHA1(key)
+        theirs = stdlib_hmac.new(key, None, hashlib.sha1)
+        for chunk in (b"Hi", b" ", b"There", b"!" * 200):
+            ours.update(as_input(chunk))
+            theirs.update(chunk)
+        our_copy, their_copy = ours.copy(), theirs.copy()
+        ours.update(as_input(b"original"))
+        theirs.update(b"original")
+        our_copy.update(as_input(b"copy"))
+        their_copy.update(b"copy")
+        assert ours.digest() == theirs.digest()
+        assert our_copy.digest() == their_copy.digest()
+    with pytest.raises(TypeError):
+        HMACSHA1(b"key").update("text is not bytes")
 
 
 #: RFC 2104 section "Test Vectors" (the original HMAC paper's cases,
@@ -202,6 +236,76 @@ def test_cbc_sp800_38a_decrypt():
     assert out.hex() == SP800_38A_PLAIN
 
 
+#: SP 800-38A sections F.2.3-F.2.6 — CBC-AES192 and CBC-AES256 (same IV
+#: and plaintext as F.2.1).
+SP800_38A_WIDE_KAT = [
+    ("8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+     "4f021db243bc633d7178183a9fa071e8"
+     "b4d9ada9ad7dedf4e5e738763f69145a"
+     "571b242012fb7ae07fa9baac3df102e0"
+     "08b0e27988598881d920a9e64f5615cd"),
+    ("603deb1015ca71be2b73aef0857d7781"
+     "1f352c073b6108d72d9810a30914dff4",
+     "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+     "9cfc4e967edb808d679f777bc6702c7d"
+     "39f23369a9d9bacfa530e26304231461"
+     "b2eb05e2c39be9fcda6c19078c6a9d1b"),
+]
+
+
+@pytest.mark.parametrize("key_hex,cipher_hex", SP800_38A_WIDE_KAT,
+                         ids=["aes192", "aes256"])
+def test_cbc_sp800_38a_wide_keys(key_hex, cipher_hex):
+    key, iv = bytes.fromhex(key_hex), bytes.fromhex(SP800_38A_IV)
+    plain = bytes.fromhex(SP800_38A_PLAIN)
+    assert cbc_encrypt_raw(key, iv, plain).hex() == cipher_hex
+    assert cbc_decrypt_raw(key, iv, bytes.fromhex(cipher_hex)) == plain
+
+
+def _decrypt_block_by_block(key, iv, ciphertext):
+    """CBC decryption as the standard writes it: one block at a time."""
+    cipher = AES(key)
+    previous, out = iv, []
+    for offset in range(0, len(ciphertext), BLOCK_SIZE):
+        block = ciphertext[offset:offset + BLOCK_SIZE]
+        out.append(bytes(a ^ b for a, b in
+                         zip(cipher.decrypt_block(block), previous)))
+        previous = block
+    return b"".join(out)
+
+
+@given(key=st.sampled_from((16, 24, 32)).flatmap(
+           lambda size: st.binary(min_size=size, max_size=size)),
+       iv=st.binary(min_size=16, max_size=16),
+       blocks=st.integers(min_value=0, max_value=PARALLEL_BLOCKS + 44),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cbc_decrypt_matches_block_by_block(key, iv, blocks, data):
+    """The block-parallel decrypt, across a slice boundary (0-300 blocks)."""
+    ciphertext = data.draw(st.binary(min_size=16 * blocks,
+                                     max_size=16 * blocks))
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == _decrypt_block_by_block(key, iv, ciphertext)
+
+
+@pytest.mark.parametrize("blocks", (PARALLEL_BLOCKS - 1, PARALLEL_BLOCKS,
+                                    PARALLEL_BLOCKS + 1,
+                                    2 * PARALLEL_BLOCKS + 3))
+def test_cbc_decrypt_at_slice_boundaries(blocks):
+    key, iv = bytes(range(16)), bytes(range(16, 32))
+    ciphertext = bytes((i * 7 + 3) & 0xFF for i in range(16 * blocks))
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == _decrypt_block_by_block(key, iv, ciphertext)
+
+
+def test_cbc_decrypt_rejects_tampered_last_block():
+    key, iv = b"k" * 16, b"i" * 16
+    ciphertext = bytearray(cbc_encrypt(key, iv, b"ringtone" * 9))
+    ciphertext[-1] ^= 0x01
+    with pytest.raises(PaddingError):
+        cbc_decrypt(key, iv, bytes(ciphertext))
+
+
 @given(key=st.binary(min_size=16, max_size=16),
        iv=st.binary(min_size=16, max_size=16),
        plaintext=st.binary(max_size=256))
@@ -218,10 +322,10 @@ def _cryptography_oracle():
     except ImportError:  # pragma: no cover - optional oracle
         return None
 
-    def oracle(key, iv, plaintext):
-        encryptor = Cipher(algorithms.AES(key),
-                           crypto_modes.CBC(iv)).encryptor()
-        return encryptor.update(plaintext) + encryptor.finalize()
+    def oracle(key, iv, data, decrypt=False):
+        cipher = Cipher(algorithms.AES(key), crypto_modes.CBC(iv))
+        context = cipher.decryptor() if decrypt else cipher.encryptor()
+        return context.update(data) + context.finalize()
     return oracle
 
 
@@ -239,6 +343,23 @@ def test_cbc_differential_vs_cryptography(key, iv, blocks, data):
                                     max_size=16 * blocks))
     assert cbc_encrypt_raw(key, iv, plaintext) \
         == oracle(key, iv, plaintext)
+
+
+@pytest.mark.skipif(_cryptography_oracle() is None,
+                    reason="the 'cryptography' package is not installed"
+                           " (stdlib has no AES oracle)")
+@given(key=st.sampled_from((16, 24, 32)).flatmap(
+           lambda size: st.binary(min_size=size, max_size=size)),
+       iv=st.binary(min_size=16, max_size=16),
+       blocks=st.integers(min_value=0, max_value=PARALLEL_BLOCKS + 44),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cbc_decrypt_differential_vs_cryptography(key, iv, blocks, data):
+    oracle = _cryptography_oracle()
+    ciphertext = data.draw(st.binary(min_size=16 * blocks,
+                                     max_size=16 * blocks))
+    assert cbc_decrypt_raw(key, iv, ciphertext) \
+        == oracle(key, iv, ciphertext, decrypt=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tracer semantics: cycle timebase, reconciliation, null overhead."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.architecture import HW_PROFILE, PAPER_PROFILES, SW_PROFILE
@@ -85,8 +87,8 @@ def test_same_seed_runs_are_identical():
         run_scenario("full", tracer, seed=SEED, rsa_bits=BITS)
         return tracer
     a, b = capture(), capture()
-    assert [s.__dict__ for s in a.spans] == [s.__dict__ for s in b.spans]
-    assert [e.__dict__ for e in a.events] == [e.__dict__ for e in b.events]
+    assert [asdict(s) for s in a.spans] == [asdict(s) for s in b.spans]
+    assert [asdict(e) for e in a.events] == [asdict(e) for e in b.events]
     assert a.metrics == b.metrics
 
 

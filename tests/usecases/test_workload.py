@@ -35,6 +35,8 @@ def test_dcf_octets_exactness(ringtone_run_small):
 
 @pytest.mark.parametrize("octets,accesses", [
     (100, 0), (100, 1), (1024, 3), (5000, 2), (16384, 5),
+    # The paper's own sizes: the catalog Ringtone and Music Player.
+    (30720, 25), (3670016, 5),
 ])
 def test_modeled_equals_functional(octets, accesses):
     use_case = UseCase(name="equiv", content_octets=octets,
